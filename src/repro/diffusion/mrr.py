@@ -1,11 +1,11 @@
 """Driver-side MRR index: the sampled sketch the search algorithms run on.
 
 Spark produces the MRR membership table (piece, sample_id, vertex); the
-index restricts it to the promoter pool V^p and pivots it into per-(piece,
-promoter) covered-sample arrays plus a per-piece CSR layout so greedy
-marginal-gain scans are vectorized numpy (`np.add.reduceat`).  Everything
-the branch-and-bound needs is in this object; the raw DataFrame stays
-available for Spark-side AU evaluation and oracle checks.
+index restricts it to the promoter pool V^p and sorts it into a per-piece
+CSR of per-promoter covered-sample arrays, so greedy marginal-gain scans
+are vectorized numpy (`np.add.reduceat`).  Everything the branch-and-bound
+needs is in this object; the raw DataFrame stays available for Spark-side AU
+evaluation and oracle checks.
 """
 from __future__ import annotations
 
@@ -79,24 +79,17 @@ def build_index(
 ) -> MRRIndex:
     """Pivot the Spark MRR table into an :class:`MRRIndex`.
 
-    The heavy lifting (filter to V^p, group to per-(piece, vertex) sample
-    lists) runs in Spark; only the promoter-restricted lists are collected.
+    Only memberships of promoters in V^p are collected (as Arrow); the
+    pivot itself is one sort on the driver.
     """
     pool = np.sort(np.asarray(promoter_pool, dtype=np.int32))
-    spark = mrr_df.sparkSession
-    pool_df = spark.createDataFrame(
-        [(int(v),) for v in pool], schema="vertex int"
-    )
     rows = (
-        mrr_df.join(pool_df, on="vertex")
-        .groupBy("piece", "vertex")
-        .agg(F.collect_list("sample_id").alias("samples"))
-        .collect()
+        mrr_df.where(F.col("vertex").isin(pool.tolist()))
+        .select("piece", "vertex", "sample_id")
+        .toArrow()
     )
-    per_piece: list[dict[int, np.ndarray]] = [dict() for _ in range(n_pieces)]
-    for r in rows:
-        per_piece[r["piece"]][r["vertex"]] = np.asarray(sorted(r["samples"]), dtype=np.int32)
-    return _assemble(n_vertices, theta, n_pieces, pool, per_piece)
+    piece, vertex, sample = (rows.column(c).to_numpy() for c in rows.column_names)
+    return _assemble(n_vertices, theta, n_pieces, pool, piece, vertex, sample)
 
 
 def index_from_sets(
@@ -117,17 +110,14 @@ def index_from_sets(
         if promoter_pool is None
         else np.sort(np.asarray(promoter_pool, dtype=np.int32))
     )
-    pool_set = set(int(v) for v in pool)
-    per_piece: list[dict[int, np.ndarray]] = []
     for j in range(n_pieces):
         assert len(rr_sets[j]) == theta, "all pieces must have θ RR sets"
-        cov: dict[int, list[int]] = {}
-        for i, s in enumerate(rr_sets[j]):
-            for v in s:
-                if int(v) in pool_set:
-                    cov.setdefault(int(v), []).append(i)
-        per_piece.append({v: np.asarray(ids, dtype=np.int32) for v, ids in cov.items()})
-    return _assemble(n_vertices, theta, n_pieces, pool, per_piece)
+    rows = np.asarray(
+        [(j, v, i) for j in range(n_pieces) for i, s in enumerate(rr_sets[j]) for v in s],
+        dtype=np.int64,
+    ).reshape(-1, 3)
+    rows = rows[np.isin(rows[:, 1], pool)]
+    return _assemble(n_vertices, theta, n_pieces, pool, *rows.T)
 
 
 def _assemble(
@@ -135,21 +125,28 @@ def _assemble(
     theta: int,
     n_pieces: int,
     pool: np.ndarray,
-    per_piece: list[dict[int, np.ndarray]],
+    piece: np.ndarray,
+    vertex: np.ndarray,
+    sample: np.ndarray,
 ) -> MRRIndex:
+    """The index of the memberships (piece[r], vertex[r], sample[r]): each
+    piece's promoters sorted, each promoter's samples sorted."""
+    order = np.lexsort((sample, vertex, piece))
+    piece = piece[order]
+    vertex = vertex[order].astype(np.int32)
+    sample = sample[order].astype(np.int32)
+    bounds = np.searchsorted(piece, np.arange(n_pieces + 1))
     pieces = []
-    for j in range(n_pieces):
-        cov = per_piece[j]
-        promoters = np.asarray(sorted(cov), dtype=np.int32)
-        chunks = [cov[int(v)] for v in promoters]
-        lens = np.asarray([len(c) for c in chunks], dtype=np.int64)
-        indptr = np.concatenate([[0], np.cumsum(lens)])
-        samples = (
-            np.concatenate(chunks).astype(np.int32)
-            if chunks
-            else np.empty(0, dtype=np.int32)
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        v = vertex[lo:hi]
+        first = np.flatnonzero(np.diff(v, prepend=-1) != 0)
+        pieces.append(
+            PieceCoverage(
+                promoters=v[first],
+                indptr=np.append(first, len(v)).astype(np.int64),
+                samples=sample[lo:hi],
+            )
         )
-        pieces.append(PieceCoverage(promoters=promoters, indptr=indptr, samples=samples))
     return MRRIndex(
         n_vertices=n_vertices,
         theta=theta,

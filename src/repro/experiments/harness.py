@@ -1,8 +1,8 @@
 """Experiment harness: prepare a dataset once, run all four methods on it.
 
 `prepare` runs the Spark side (graph materialization, per-piece influence
-graphs, the iterative MRR sampling job, coverage-index collection) and is
-cached per (dataset, ℓ, θ, seed) — the paper likewise samples once and
+graphs, the one-pass MRR sampling job, coverage-index collection) and is
+cached per (graph config, ℓ, θ, seed) — the paper likewise samples once and
 excludes sampling time from method comparisons ("we exclude the sampling
 time for generating RR sets since the time is the same for all compared
 approaches"), reporting it separately in Table III.
@@ -59,7 +59,7 @@ def prepare(
     theta: int = 2000,
     seed: int = 101,
 ) -> Prepared:
-    key = (graph_cfg.name, graph_cfg.seed, n_pieces, theta, seed)
+    key = (graph_cfg, n_pieces, theta, seed)
     if key in _CACHE:
         return _CACHE[key]
     edges = social_graph(spark, graph_cfg)

@@ -1,7 +1,7 @@
 """Shared fixtures for the test suite.
 
-Spark-backed fixtures are session-scoped and sampled once — the iterative
-MRR job is the expensive part, and every consumer only reads.  Numpy-only
+Spark-backed fixtures are session-scoped and sampled once — the MRR
+sampling job is the expensive part, and every consumer only reads.  Numpy-only
 fixtures (random indices, the paper's running example) carry the bulk of
 the ~hundreds of unit tests cheaply.
 """

@@ -1,6 +1,8 @@
 """Integration tests: the experiment harness on the tiny test graph."""
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,16 @@ def test_prepare_shapes(prepared_test_graph):
 def test_prepare_cached(spark, prepared_test_graph):
     again = prepare(spark, TEST_GRAPH, n_pieces=3, theta=300, seed=77)
     assert again is prepared_test_graph
+
+
+def test_prepare_cache_keys_on_config(spark):
+    """A changed config under the same name is prepared afresh."""
+    small = dataclasses.replace(TEST_GRAPH, m=300)
+    a = prepare(spark, TEST_GRAPH, n_pieces=2, theta=20, seed=3)
+    b = prepare(spark, small, n_pieces=2, theta=20, seed=3)
+    assert a is not b
+    assert b.graph_cfg == small and b.edge_count < a.edge_count
+    assert prepare(spark, small, n_pieces=2, theta=20, seed=3) is b
 
 
 def test_index_restricted_to_pool(prepared_test_graph):

@@ -1,8 +1,9 @@
-"""Tests for the Spark iterative RR/MRR sampler (§V-A).
+"""Tests for the one-pass Spark RR/MRR sampler (§V-A).
 
 Deterministic cases (edge probabilities 0/1) are checked exactly against
-analytic reachability; probabilistic cases are validated statistically
-against the forward Monte-Carlo simulator.
+analytic reachability; the numpy coins and the whole sketch are checked
+exactly against Spark's own ``xxhash64``; probabilistic cases are validated
+statistically against the forward Monte-Carlo simulator.
 """
 from __future__ import annotations
 
@@ -13,13 +14,16 @@ from pyspark.sql import functions as F
 
 from repro.diffusion.mrr import build_index
 from repro.diffusion.rr_sets import (
+    _coin,
     sample_mrr_sets,
     sample_roots,
     sample_rr_sets,
     spread_estimate,
 )
 from repro.diffusion.simulate import ForwardSimulator
-from repro.graphs.topics import edges_by_piece
+from repro.graphs.datasets import TEST_GRAPH
+from repro.graphs.generator import EDGE_SCHEMA, social_graph
+from repro.graphs.topics import edges_by_piece, one_hot_pieces, uniform_piece
 
 from .conftest import EX1_ANC, EX1_PIECES
 
@@ -178,3 +182,88 @@ def test_estimated_au_matches_forward_sim(spark, ex1_edges_df):
     sim = ForwardSimulator(pdf.reset_index(drop=True), EX1_PIECES, 5)
     truth = sim.adoption_utility({0: [0], 1: [4]}, alpha=3.0, beta=1.0, trials=3000, seed=23)
     assert abs(est - truth) / truth < 0.10, (est, truth)
+
+
+def _spark_coin(seed: int):
+    """The coin as a Spark column: the oracle for the numpy port."""
+    h = F.xxhash64(F.lit(seed), "piece", "sample_id", "src", "dst")
+    return F.pmod(h, F.lit(1 << 24)).cast("double") / float(1 << 24)
+
+
+def test_coin_matches_spark_xxhash64(spark):
+    g = np.random.default_rng(5)
+    i32 = np.iinfo(np.int32)
+    edge = np.array([0, -1, i32.max, i32.min], dtype=np.int32)
+    # every combination of the edge values, then random int32 tuples
+    grid = np.stack(np.meshgrid(edge, edge, edge, edge), axis=-1).reshape(-1, 4)
+    rand = g.integers(i32.min, i32.max, size=(3000, 4), endpoint=True, dtype=np.int32)
+    keys = pd.DataFrame(
+        np.vstack([grid, rand]), columns=["piece", "sample_id", "src", "dst"]
+    )
+    df = spark.createDataFrame(
+        keys, schema="piece int, sample_id int, src int, dst int"
+    )
+    for seed in (0, 11101, -1, int(i32.max), int(i32.min)):
+        want = df.select(_spark_coin(seed).alias("c")).toPandas()["c"].to_numpy()
+        got = _coin(seed, *(keys[c].to_numpy() for c in keys.columns))
+        assert np.array_equal(got, want), seed
+
+
+@pytest.mark.parametrize("seed", [1 << 31, -(1 << 31) - 1])
+def test_coin_seed_outside_int32_raises(spark, seed):
+    """Spark would hash such a seed as a long (hashLong): refuse it."""
+    with pytest.raises(ValueError):
+        _coin(seed, 0, 0, 0, 1)
+    edges = spark.createDataFrame([(0, 0, 1, 0.5)], "piece int, src int, dst int, p double")
+    roots = sample_roots(spark, n=2, theta=3, seed=0)
+    with pytest.raises(ValueError):
+        sample_mrr_sets(spark, edges, roots, 1, seed=seed)
+
+
+def test_sketch_equals_bfs_over_spark_live_edges(spark):
+    """The whole sketch equals a plain BFS per (piece, sample) over the live
+    edges Spark's own xxhash64 selects."""
+    n_pieces, theta, seed = 3, 30, 5123
+    pieces = np.vstack(
+        [one_hot_pieces(TEST_GRAPH.n_topics, n_pieces, 4), uniform_piece(TEST_GRAPH.n_topics)]
+    )
+    ebp = edges_by_piece(social_graph(spark, TEST_GRAPH), pieces)
+    roots = sample_roots(spark, n=TEST_GRAPH.n, theta=theta, seed=6)
+    live = (
+        ebp.crossJoin(roots.select("sample_id"))
+        .where(_spark_coin(seed) < F.col("p"))
+        .select("piece", "sample_id", "src", "dst")
+        .collect()
+    )
+    parents: dict[tuple[int, int, int], list[int]] = {}
+    for r in live:
+        parents.setdefault((r["piece"], r["sample_id"], r["dst"]), []).append(r["src"])
+    want = set()
+    for r in roots.collect():
+        for j in range(n_pieces + 1):
+            seen, todo = {r["vertex"]}, [r["vertex"]]
+            while todo:
+                v = todo.pop()
+                for u in parents.get((j, r["sample_id"], v), []):
+                    if u not in seen:
+                        seen.add(u)
+                        todo.append(u)
+            want |= {(j, r["sample_id"], v) for v in seen}
+    rows = sample_mrr_sets(spark, ebp, roots, n_pieces + 1, seed=seed).collect()
+    got = [(r["piece"], r["sample_id"], r["vertex"]) for r in rows]
+    assert len(got) == len(set(got))
+    assert set(got) == want
+    assert len(want) > (n_pieces + 1) * theta  # some RR set grew past its root
+
+
+def test_long_chain_not_truncated(spark):
+    """A 100-vertex chain with p=1: the tail's RR set is the whole chain,
+    however many BFS levels that takes."""
+    n = 100
+    pdf = pd.DataFrame(
+        {"src": range(n - 1), "dst": range(1, n), "probs": [[1.0]] * (n - 1)}
+    )
+    edges = spark.createDataFrame(pdf, schema=EDGE_SCHEMA)
+    roots = spark.createDataFrame([(0, n - 1)], schema="sample_id int, vertex int")
+    mrr = sample_mrr_sets(spark, edges_by_piece(edges, np.array([[1.0]])), roots, 1, seed=3)
+    assert sorted(r["vertex"] for r in mrr.collect()) == list(range(n))
