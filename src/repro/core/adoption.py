@@ -35,6 +35,8 @@ class LogisticModel:
     @classmethod
     def from_ratio(cls, ratio: float, beta: float = 1.0) -> "LogisticModel":
         """Build from the paper's β/α knob (Table IV): α = β / ratio."""
+        if not (np.isfinite(ratio) and ratio > 0):
+            raise ValueError(f"β/α ratio must be finite and positive, got {ratio}")
         return cls(alpha=beta / ratio, beta=beta)
 
     def prob(self, counts: np.ndarray) -> np.ndarray:

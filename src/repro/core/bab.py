@@ -5,9 +5,11 @@ the top entry yields the global upper bound U over the unexplored space;
 the best candidate plan found by any `ComputeBound` completion is the
 global lower bound L.  The search terminates when the relative gap
 (U − L)/U falls inside ``gap_tol`` (the paper runs BAB "within 1% error
-ratio"), when the heap empties (gap 0), or at the ``max_pops`` backstop
-(never reached in the shipped configurations; the achieved gap is always
-reported).
+ratio"), when the heap empties (gap 0), or at the ``max_pops`` backstop.
+The backstop is reached in practice: BAB on lastfm_lite and dblp_lite at
+β/α=0.3, k=50 stops at the 500-pop cap with a 13–14% gap (EXPERIMENTS.md).
+``BABResult.stop_reason`` says which of the three ended the search, and the
+achieved gap is always reported.
 
 Branching pair v* (Algorithm 1 line 9 is underspecified): the first pick
 of the parent's greedy completion — the available (promoter, piece) pair
@@ -25,7 +27,7 @@ import numpy as np
 
 from repro.diffusion.mrr import MRRIndex
 
-from .adoption import LogisticModel, Plan, plan_size
+from .adoption import LogisticModel, Plan
 from .bound import (
     BoundResult,
     SearchStats,
@@ -45,20 +47,8 @@ class BABResult:
     evals: int
     seconds: float
     method: str = "BAB"
+    stop_reason: str = "exhausted"  # "gap", "exhausted" or "max_pops"
     extra: dict = field(default_factory=dict)
-
-
-def _full_pools(index: MRRIndex) -> list[np.ndarray]:
-    return [np.ones(len(cov.promoters), dtype=bool) for cov in index.pieces]
-
-
-def _remove(pools: list[np.ndarray], index: MRRIndex, piece: int, v: int) -> list[np.ndarray]:
-    out = [p.copy() for p in pools]
-    cov = index.pieces[piece]
-    i = int(np.searchsorted(cov.promoters, v))
-    if i < len(cov.promoters) and cov.promoters[i] == v:
-        out[piece][i] = False
-    return out
 
 
 def branch_and_bound(
@@ -71,52 +61,60 @@ def branch_and_bound(
     gap_tol: float = 0.01,
     max_pops: int = 5000,
 ) -> BABResult:
-    """Run BAB (plain bound) or BAB-P (progressive bound) for budget k."""
+    """Run BAB (plain bound) or BAB-P (progressive bound) for budget k.
+
+    A partial plan and its candidate pool are bool masks over the index's
+    (piece, promoter) rows; a child is its parent's masks with one row set
+    or cleared.
+    """
+    if k < 0:
+        raise ValueError(f"budget k must be non-negative, got {k}")
     t0 = time.perf_counter()
     stats = SearchStats()
 
-    def bound(plan: Plan, pools: list[np.ndarray]) -> BoundResult:
+    def bound(plan: np.ndarray, pool: np.ndarray) -> BoundResult:
         if progressive:
             return compute_bound_progressive(
-                index, model, plan, pools, k, eps=eps, stats=stats
+                index, model, plan, pool, k, eps=eps, stats=stats
             )
-        return compute_bound(index, model, plan, pools, k, stats=stats)
+        return compute_bound(index, model, plan, pool, k, stats=stats)
 
-    pools0 = _full_pools(index)
-    root = bound({}, pools0)
+    empty = np.zeros(index.n_rows, dtype=bool)
+    root = bound(empty, ~empty)
     best_plan, best_lower = root.plan, root.lower
     upper = root.upper
 
-    tick = itertools.count()  # heap tiebreaker; plans aren't orderable
-    heap: list[tuple[float, int, Plan, list[np.ndarray], tuple[int, int] | None]] = []
+    tick = itertools.count()  # heap tiebreaker; masks aren't orderable
+    heap: list[tuple[float, int, np.ndarray, np.ndarray, int]] = []
     if root.upper > best_lower and root.first_pick is not None:
-        heapq.heappush(heap, (-root.upper, next(tick), {}, pools0, root.first_pick))
+        heapq.heappush(heap, (-root.upper, next(tick), empty, ~empty, root.first_pick))
 
     pops = 0
-    while heap and pops < max_pops:
-        neg_u, _, plan, pools, pick = heapq.heappop(heap)
+    stop_reason = "exhausted"
+    while heap:
+        if pops >= max_pops:
+            stop_reason = "max_pops"
+            break
+        neg_u, _, plan, pool, r = heapq.heappop(heap)
         upper = -neg_u
         pops += 1
         if upper - best_lower <= gap_tol * max(upper, 1e-12):
-            break  # 1% termination criterion
-        if upper <= best_lower or pick is None or plan_size(plan) >= k:
+            stop_reason = "gap"  # 1% termination criterion
+            break
+        size = int(plan.sum())
+        if upper <= best_lower or size >= k:
             continue
-        j, v = pick
-        pools_b = _remove(pools, index, j, v)  # v* excluded (both children)
-        plan_a = {jj: set(s) for jj, s in plan.items()}
-        plan_a.setdefault(j, set()).add(v)  # v* included
-        for child_plan, child_pools in ((plan_a, pools_b), (plan, pools_b)):
-            res = bound(child_plan, child_pools)
+        pool_b = pool.copy()
+        pool_b[r] = False  # v* excluded (both children)
+        plan_a = plan.copy()
+        plan_a[r] = True  # v* included
+        for child_plan, child_size in ((plan_a, size + 1), (plan, size)):
+            res = bound(child_plan, pool_b)
             if res.lower > best_lower:
                 best_lower, best_plan = res.lower, res.plan
-            if (
-                res.upper > best_lower
-                and res.first_pick is not None
-                and plan_size(child_plan) < k
-            ):
+            if res.upper > best_lower and res.first_pick is not None and child_size < k:
                 heapq.heappush(
-                    heap,
-                    (-res.upper, next(tick), child_plan, child_pools, res.first_pick),
+                    heap, (-res.upper, next(tick), child_plan, pool_b, res.first_pick)
                 )
 
     if not heap and pops > 0:
@@ -135,5 +133,6 @@ def branch_and_bound(
         evals=stats.evals,
         seconds=time.perf_counter() - t0,
         method="BAB-P" if progressive else "BAB",
+        stop_reason=stop_reason,
         extra={"eps": eps} if progressive else {},
     )

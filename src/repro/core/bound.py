@@ -8,13 +8,19 @@ the anchored submodular bound τ(·|S̄a), and return:
 * τ(S̄|S̄a) — the upper bound used for pruning,
 * the first greedy pick — reused by the framework as the branching pair v*.
 
+The partial plan and the candidate pool are bool masks over the index's
+pair-CSR rows (one row per (piece, promoter) pair); the completed plan is
+turned into a ``Plan`` dict only for the result and its AU.
+
 Algorithm 2 is the plain greedy: each of the k' iterations scans every
-available promoter of every piece.  Algorithm 3 is the progressive
-variant: promoters are sorted once by their singleton gain δ∅(v); a
-threshold h starting at the largest singleton gain admits any promoter
-whose current marginal meets it, and decays by (1+ε) per round, with two
-early exits — the sorted-order break (δ∅(v) < h ⇒ δ_S̄(v) < h by
-submodularity) and the h ≤ τ·e⁻¹/((k−|S̄a|)(1−e⁻¹)) floor of Theorem 3.
+available row of every piece in one pass and takes the global argmax, so
+ties go to the first row (lowest piece, then lowest vertex).  Algorithm 3
+is the progressive variant: rows are sorted once by their singleton gain
+δ∅(v) (a stable sort, so ties keep row order); a threshold h starting at
+the largest singleton gain admits any row whose current marginal meets it,
+and decays by (1+ε) per round, with two early exits — the sorted-order
+break (δ∅(v) < h ⇒ δ_S̄(v) < h by submodularity) and the
+h ≤ τ·e⁻¹/((k−|S̄a|)(1−e⁻¹)) floor of Theorem 3.
 """
 from __future__ import annotations
 
@@ -24,7 +30,7 @@ import numpy as np
 
 from repro.diffusion.mrr import MRRIndex
 
-from .adoption import LogisticModel, Plan, estimate_au, plan_size
+from .adoption import LogisticModel, Plan, estimate_au
 from .coverage import BoundState
 
 E_FLOOR = np.exp(-1.0) / (1.0 - np.exp(-1.0))
@@ -35,7 +41,7 @@ class BoundResult:
     plan: Plan  # completed candidate plan (S̄ ∪ S̄a)
     lower: float  # σ(S̄ ∪ S̄a), exact on the MRR sketch
     upper: float  # τ(S̄|S̄a), scaled to AU units
-    first_pick: tuple[int, int] | None  # (piece, promoter) — branching pair
+    first_pick: int | None  # row of the branching (piece, promoter) pair
     evals: int  # τ-marginal evaluations spent
 
 
@@ -46,82 +52,58 @@ class SearchStats:
     extra: dict = field(default_factory=dict)
 
 
-def _available_mask(index: MRRIndex, pools: list[np.ndarray], plan: Plan) -> list[np.ndarray]:
-    """Per-piece availability aligned with the piece's CSR promoter order:
-    in the (branch-restricted) pool and not already assigned to the piece."""
-    masks = []
-    for j, cov in enumerate(index.pieces):
-        m = pools[j].copy()
-        for v in plan.get(j, ()):
-            i = int(np.searchsorted(cov.promoters, v))
-            if i < len(cov.promoters) and cov.promoters[i] == v:
-                m[i] = False
-        masks.append(m)
-    return masks
-
-
-def _merge(partial: Plan, additions: Plan) -> Plan:
-    out = {j: set(s) for j, s in partial.items()}
-    for j, s in additions.items():
-        out.setdefault(j, set()).update(s)
-    return out
+def _result(
+    state: BoundState, plan: np.ndarray, upper: float, first_pick: int | None,
+    stats: SearchStats | None,
+) -> BoundResult:
+    """Reduce a finished greedy to its result; plan becomes a Plan dict."""
+    plan_dict = state.index.plan_of(plan)
+    if stats is not None:
+        stats.bound_calls += 1
+        stats.evals += state.evals
+    return BoundResult(
+        plan=plan_dict,
+        lower=estimate_au(state.index, plan_dict, state.model),
+        upper=upper,
+        first_pick=first_pick,
+        evals=state.evals,
+    )
 
 
 def compute_bound(
     index: MRRIndex,
     model: LogisticModel,
-    partial_plan: Plan,
-    pools: list[np.ndarray],
+    partial_plan: np.ndarray,
+    pool: np.ndarray,
     k: int,
     *,
     stats: SearchStats | None = None,
 ) -> BoundResult:
     """Algorithm 2: plain greedy bound estimation (full scans)."""
     state = BoundState(index, model, partial_plan)
-    avail = _available_mask(index, pools, partial_plan)
-    additions: Plan = {}
-    first_pick: tuple[int, int] | None = None
-
-    budget = k - plan_size(partial_plan)
-    for _ in range(budget):
-        best_gain, best = 0.0, None
-        for j, cov in enumerate(index.pieces):
-            if not avail[j].any():
-                continue
-            gains = state.gains_all(j)
-            gains[~avail[j]] = -np.inf
-            i = int(np.argmax(gains))
-            if gains[i] > best_gain:
-                best_gain, best = float(gains[i]), (j, i)
-        if best is None:
+    plan = partial_plan.copy()
+    avail = pool & ~plan
+    first_pick: int | None = None
+    for _ in range(k - int(partial_plan.sum())):
+        if not avail.any():
             break
-        j, i = best
-        v = int(index.pieces[j].promoters[i])
-        state.add(j, v)
-        avail[j][i] = False
-        additions.setdefault(j, set()).add(v)
+        gains = state.gains_all(avail)
+        r = int(np.argmax(gains))
+        if gains[r] <= 0.0:
+            break
+        state.add(r)
+        avail[r] = False
+        plan[r] = True
         if first_pick is None:
-            first_pick = (j, v)
-
-    plan = _merge(partial_plan, additions)
-    res = BoundResult(
-        plan=plan,
-        lower=estimate_au(index, plan, model),
-        upper=state.tau_scaled(),
-        first_pick=first_pick,
-        evals=state.evals,
-    )
-    if stats is not None:
-        stats.bound_calls += 1
-        stats.evals += state.evals
-    return res
+            first_pick = r
+    return _result(state, plan, state.tau_scaled(), first_pick, stats)
 
 
 def compute_bound_progressive(
     index: MRRIndex,
     model: LogisticModel,
-    partial_plan: Plan,
-    pools: list[np.ndarray],
+    partial_plan: np.ndarray,
+    pool: np.ndarray,
     k: int,
     *,
     eps: float = 0.5,
@@ -129,39 +111,31 @@ def compute_bound_progressive(
 ) -> BoundResult:
     """Algorithm 3: progressive threshold-based bound estimation."""
     state = BoundState(index, model, partial_plan)
-    avail = _available_mask(index, pools, partial_plan)
-    budget = k - plan_size(partial_plan)
-    additions: Plan = {}
-    first_pick: tuple[int, int] | None = None
+    plan = partial_plan.copy()
+    avail = pool & ~plan
+    budget = k - int(partial_plan.sum())
+    first_pick: int | None = None
 
-    # Line 2: order all (piece, promoter) pairs by singleton gain δ∅(v).
-    entries: list[tuple[float, int, int]] = []  # (δ∅, piece, csr-pos)
-    for j in range(index.n_pieces):
-        if not avail[j].any():
-            continue
-        gains = state.gains_all(j)
-        for i in np.flatnonzero(avail[j] & (gains > 0.0)):
-            entries.append((float(gains[i]), j, int(i)))
-    entries.sort(key=lambda e: -e[0])
-    taken = np.zeros(len(entries), dtype=bool)
+    # Line 2: order the available rows by singleton gain δ∅(v).
+    g0 = state.gains_all(avail)
+    order = np.flatnonzero(g0 > 0.0)
+    order = order[np.argsort(-g0[order], kind="stable")]
+    g0, order = g0[order].tolist(), order.tolist()
 
     n_added = 0
-    if entries and budget > 0:
-        h = entries[0][0]  # Lines 3-4: maxinf
+    if order and budget > 0:
+        h = g0[0]  # Lines 3-4: maxinf
         while n_added < budget:
-            for idx, (g0, j, i) in enumerate(entries):
-                if g0 < h:
-                    break  # Lines 11-12: sorted order ⇒ no later entry passes
-                if taken[idx]:
+            for g, r in zip(g0, order):
+                if g < h:
+                    break  # Lines 11-12: sorted order ⇒ no later row passes
+                if plan[r]:
                     continue
-                d = state.gain(j, int(index.pieces[j].promoters[i]))
-                if d >= h:
-                    v = int(index.pieces[j].promoters[i])
-                    state.add(j, v)
-                    taken[idx] = True
-                    additions.setdefault(j, set()).add(v)
+                if state.gain(r) >= h:
+                    state.add(r)
+                    plan[r] = True
                     if first_pick is None:
-                        first_pick = (j, v)
+                        first_pick = r
                     n_added += 1
                     if n_added >= budget:
                         break
@@ -182,30 +156,14 @@ def compute_bound_progressive(
     # lower-bound quality, so fill the remaining slots with any
     # still-positive marginals, scanning once in δ∅ order.  This only
     # raises the candidate plan's AU — pruning validity is untouched.
-    if n_added < budget:
-        for idx_e, (g0, j, i) in enumerate(entries):
-            if n_added >= budget:
-                break
-            if taken[idx_e]:
-                continue
-            v = int(index.pieces[j].promoters[i])
-            if state.gain(j, v) > 0.0:
-                state.add(j, v)
-                taken[idx_e] = True
-                additions.setdefault(j, set()).add(v)
-                if first_pick is None:
-                    first_pick = (j, v)
-                n_added += 1
+    for r in order:
+        if n_added >= budget:
+            break
+        if not plan[r] and state.gain(r) > 0.0:
+            state.add(r)
+            plan[r] = True
+            if first_pick is None:
+                first_pick = r
+            n_added += 1
 
-    plan = _merge(partial_plan, additions)
-    res = BoundResult(
-        plan=plan,
-        lower=estimate_au(index, plan, model),
-        upper=upper,
-        first_pick=first_pick,
-        evals=state.evals,
-    )
-    if stats is not None:
-        stats.bound_calls += 1
-        stats.evals += state.evals
-    return res
+    return _result(state, plan, upper, first_pick, stats)

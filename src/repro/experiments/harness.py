@@ -45,7 +45,8 @@ class Prepared:
     im_cov: PieceCoverage  # coverage of the topic-agnostic graph (IM baseline)
     theta: int
     edge_count: int
-    sample_seconds: float
+    sample_seconds: float  # the MRR sampling job
+    index_seconds: float  # collecting the promoter rows into the pair CSR
 
 
 _CACHE: dict[tuple, Prepared] = {}
@@ -72,7 +73,9 @@ def prepare(
     mrr_df = sample_mrr_sets(
         spark, ebp, roots, n_pieces + 1, seed=graph_cfg.seed * 1000 + seed
     )
+    sample_seconds = time.perf_counter() - t0
     pool = promoter_pool(graph_cfg)
+    t0 = time.perf_counter()
     full = build_index(
         mrr_df,
         n_vertices=graph_cfg.n,
@@ -80,7 +83,7 @@ def prepare(
         n_pieces=n_pieces + 1,
         promoter_pool=pool,
     )
-    sample_seconds = time.perf_counter() - t0
+    index_seconds = time.perf_counter() - t0
     prep = Prepared(
         graph_cfg=graph_cfg,
         pieces=pieces,
@@ -90,6 +93,7 @@ def prepare(
         theta=theta,
         edge_count=edge_count,
         sample_seconds=sample_seconds,
+        index_seconds=index_seconds,
     )
     _CACHE[key] = prep
     return prep
@@ -137,6 +141,7 @@ def run_methods(
                     gap=float("nan"),
                     evals=0,
                     pops=0,
+                    stop_reason="",
                 )
             )
         elif method == "TIM":
@@ -151,6 +156,7 @@ def run_methods(
                     gap=float("nan"),
                     evals=0,
                     pops=0,
+                    stop_reason="",
                 )
             )
         elif method in ("BAB", "BAB-P"):
@@ -173,6 +179,7 @@ def run_methods(
                     gap=r.gap,
                     evals=r.evals,
                     pops=r.pops,
+                    stop_reason=r.stop_reason,
                 )
             )
         else:  # pragma: no cover - config error guard

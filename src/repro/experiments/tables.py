@@ -61,7 +61,8 @@ BENCH = Scale(
 
 
 def table3_rows(spark: SparkSession, scale: Scale = FULL) -> list[dict]:
-    """Paper Table III: dataset statistics + MRR sample time."""
+    """Paper Table III: dataset statistics, MRR sampling time and index
+    build time."""
     rows = []
     for name in scale.datasets:
         cfg = DATASETS[name]
@@ -77,6 +78,7 @@ def table3_rows(spark: SparkSession, scale: Scale = FULL) -> list[dict]:
                 topics=cfg.n_topics,
                 theta=scale.theta,
                 sample_seconds=round(prep.sample_seconds, 2),
+                index_seconds=round(prep.index_seconds, 2),
             )
         )
     return rows

@@ -42,6 +42,12 @@ def test_from_ratio(ratio):
     assert np.isclose(m.beta / m.alpha, ratio)
 
 
+@pytest.mark.parametrize("ratio", [0.0, -0.5, float("nan"), float("inf")])
+def test_from_ratio_rejects_bad_ratio(ratio):
+    with pytest.raises(ValueError, match="ratio"):
+        LogisticModel.from_ratio(ratio)
+
+
 def test_harder_alpha_lowers_adoption():
     """'The larger α is, the harder it is for a user to adopt T.'"""
     easy, hard = LogisticModel(alpha=1.0), LogisticModel(alpha=4.0)

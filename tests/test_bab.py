@@ -7,6 +7,7 @@ import pytest
 from repro.core.adoption import LogisticModel, estimate_au, plan_size
 from repro.core.bab import branch_and_bound
 from repro.core.reduction import brute_force_oipa
+from repro.diffusion.mrr import index_from_sets
 
 from .conftest import random_index
 
@@ -107,6 +108,40 @@ def test_max_pops_backstop():
     res = branch_and_bound(idx, m, 5, max_pops=3)
     assert res.pops <= 3
     assert res.utility > 0
+
+
+def test_stop_reason_gap():
+    idx = random_index(seed=37)
+    res = branch_and_bound(idx, LogisticModel.from_ratio(0.3), 5, gap_tol=1.0)
+    assert res.stop_reason == "gap" and res.pops == 1
+
+
+def test_stop_reason_exhausted():
+    """The heap drains after some pops: the bound is tight, gap 0."""
+    idx = random_index(n_vertices=12, theta=30, density=0.2, seed=33)
+    res = branch_and_bound(idx, LogisticModel.from_ratio(0.3), 3, gap_tol=0.0, max_pops=500)
+    assert res.stop_reason == "exhausted" and res.pops == 17 and res.gap == 0.0
+
+
+def test_stop_reason_max_pops():
+    idx = random_index(seed=37)
+    res = branch_and_bound(idx, LogisticModel.from_ratio(0.3), 5, gap_tol=0.0, max_pops=3)
+    assert res.stop_reason == "max_pops" and res.pops == 3 and res.gap > 0.0
+
+
+def test_negative_budget_raises():
+    with pytest.raises(ValueError, match="k"):
+        branch_and_bound(random_index(seed=38), LogisticModel.from_ratio(0.5), -1)
+
+
+@pytest.mark.parametrize("progressive", [False, True], ids=["BAB", "BAB-P"])
+def test_index_without_rows(progressive):
+    """A promoter pool that covers no sample (R = 0): empty plan, utility 0."""
+    idx = index_from_sets({0: [{0}, {1}], 1: [{1}, set()]}, n_vertices=3, promoter_pool=[2])
+    assert idx.n_rows == 0
+    res = branch_and_bound(idx, LogisticModel.from_ratio(0.3), 3, progressive=progressive)
+    assert res.plan == {} and res.utility == 0.0 and res.gap == 0.0
+    assert res.stop_reason == "exhausted"
 
 
 def test_result_metadata():

@@ -17,7 +17,7 @@ def test_prepare_shapes(prepared_test_graph):
     assert prep.index.theta == 300
     assert prep.pieces.shape == (3, TEST_GRAPH.n_topics)
     assert prep.edge_count > 0
-    assert prep.sample_seconds > 0
+    assert prep.sample_seconds > 0 and prep.index_seconds > 0
     assert len(prep.im_cov.promoters) > 0
 
 
@@ -53,6 +53,8 @@ def test_run_methods_rows(prepared_test_graph):
         assert r["assignments"] <= 5
         assert r["dataset"] == "test_graph"
         assert r["k"] == 5 and r["l"] == 3
+        want = {"gap", "exhausted", "max_pops"} if r["method"].startswith("BAB") else {""}
+        assert r["stop_reason"] in want
 
 
 def test_bab_at_least_baselines(prepared_test_graph):

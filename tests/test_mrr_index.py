@@ -36,6 +36,47 @@ def test_index_subset():
     assert np.array_equal(sub.pieces[1].samples, idx.pieces[2].samples)
 
 
+def test_index_subset_renumbers_rows():
+    idx = random_index(n_pieces=4, seed=5)
+    sub = idx.subset([0, 2])
+    old_rows = np.r_[idx.piece_ptr[0] : idx.piece_ptr[1], idx.piece_ptr[2] : idx.piece_ptr[3]]
+    assert sub.n_rows == len(old_rows)
+    assert np.array_equal(sub.piece, np.where(idx.piece[old_rows] == 0, 0, 1))
+    assert np.array_equal(sub.vertex, idx.vertex[old_rows])
+    for r, old in enumerate(old_rows):
+        assert np.array_equal(
+            sub.samples[sub.indptr[r] : sub.indptr[r + 1]],
+            idx.samples[idx.indptr[old] : idx.indptr[old + 1]],
+        )
+    assert np.array_equal(sub.keys, np.repeat(sub.piece, np.diff(sub.indptr)) * sub.theta + sub.samples)
+    assert sub.piece_ptr.tolist() == [0, len(idx.pieces[0].promoters), sub.n_rows]
+    for j in (0, 1):  # piece views agree with the per-piece coverage
+        want = idx.pieces[2 * j]
+        assert np.array_equal(sub.pieces[j].promoters, want.promoters)
+        assert np.array_equal(sub.pieces[j].indptr, want.indptr)
+
+
+def test_pair_csr_layout():
+    """Rows sorted by (piece, vertex), none empty; pieces are views."""
+    idx = random_index(seed=4)
+    assert len(idx.indptr) == idx.n_rows + 1 and idx.indptr[-1] == len(idx.samples)
+    assert np.all(np.diff(idx.indptr) > 0)
+    pair = idx.piece.astype(np.int64) * idx.n_vertices + idx.vertex
+    assert np.all(np.diff(pair) > 0)
+    assert np.shares_memory(idx.pieces[1].samples, idx.samples)
+    assert np.shares_memory(idx.pieces[1].promoters, idx.vertex)
+
+
+def test_rows_of_and_plan_of_roundtrip():
+    idx = random_index(seed=6)
+    plan = {0: {int(idx.pieces[0].promoters[2])}, 2: set(idx.pieces[2].promoters[:3].tolist())}
+    # pairs without a row are dropped; an out-of-range vertex must not
+    # alias into the next piece's rows
+    rows = idx.rows_of(plan | {1: {idx.n_vertices + int(idx.pieces[2].promoters[0])}})
+    assert len(rows) == 4
+    assert idx.plan_of(rows) == plan
+
+
 def test_csr_layout_consistency():
     idx = random_index(seed=3)
     for cov in idx.pieces:

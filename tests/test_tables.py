@@ -68,7 +68,7 @@ def test_table3(spark):
     assert r["vertices"] == 120
     assert r["edges"] > 0
     assert math.isclose(r["avg_degree"], r["edges"] / r["vertices"], rel_tol=0.01)
-    assert r["sample_seconds"] > 0
+    assert r["sample_seconds"] > 0 and r["index_seconds"] > 0
 
 
 def test_eps_sweep(spark):
