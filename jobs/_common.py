@@ -1,15 +1,7 @@
-"""Shared runner for the table jobs.
-
-Each ``jobs/run_<table>.py`` is a thin ``spark-submit`` wrapper around a
-table generator from :mod:`repro.experiments.tables`.  Results print as
-markdown and are written to ``results/<table>.md`` for EXPERIMENTS.md.
-"""
+"""The Spark session of the table jobs (``jobs/run_tables.py``)."""
 from __future__ import annotations
 
-import argparse
 import os
-import pathlib
-import sys
 
 from pyspark.sql import SparkSession
 
@@ -38,30 +30,3 @@ def build_session(app: str) -> SparkSession:
         .getOrCreate()
     )
 
-
-def run_table_job(table: str) -> None:
-    from repro.experiments import tables as T
-
-    parser = argparse.ArgumentParser(description=f"Reproduce table {table}")
-    parser.add_argument(
-        "--scale", choices=["full", "bench"], default="full",
-        help="full = EXPERIMENTS.md scale, bench = reduced sweep",
-    )
-    parser.add_argument("--out", default=None, help="output markdown path")
-    args = parser.parse_args()
-
-    scale = T.FULL if args.scale == "full" else T.BENCH
-    spark = build_session(f"repro-{table}")
-    spark.sparkContext.setLogLevel("ERROR")
-    try:
-        rows = T.TABLES[table](spark, scale)
-    finally:
-        spark.stop()
-    md = T.rows_to_markdown(rows)
-    print(md)
-    out = args.out or str(
-        pathlib.Path(__file__).resolve().parent.parent / "results" / f"{table}.md"
-    )
-    pathlib.Path(out).parent.mkdir(parents=True, exist_ok=True)
-    pathlib.Path(out).write_text(f"# {table} ({args.scale} scale)\n\n{md}\n")
-    print(f"\nwritten: {out}", file=sys.stderr)

@@ -71,22 +71,15 @@ def estimate_au_spark(
 ) -> float:
     """Eqn 6 as a Spark aggregation over the raw MRR membership table.
 
-    Joins the plan (piece, vertex) pairs with MRR memberships, counts
-    distinct covered pieces per sample, applies the logistic and sums.
+    Takes the per-sample distinct-piece counts of :func:`adoption_counts_df`,
+    applies the logistic and sums.
     Samples covered by no piece drop out of the join — contributing 0,
     exactly as Eqn 1 prescribes.
     """
-    pairs = [(int(j), int(v)) for j, seeds in plan.items() for v in seeds]
-    if not pairs:
+    if not plan_size(plan):
         return 0.0
-    spark = mrr_df.sparkSession
-    plan_df = spark.createDataFrame(pairs, schema="piece int, vertex int")
     row = (
-        mrr_df.join(plan_df, on=["piece", "vertex"])
-        .select("sample_id", "piece")
-        .distinct()
-        .groupBy("sample_id")
-        .agg(F.count("piece").alias("c"))
+        adoption_counts_df(mrr_df, plan)
         .agg(
             F.sum(
                 1.0 / (1.0 + F.exp(F.lit(model.alpha) - F.lit(model.beta) * F.col("c")))

@@ -179,8 +179,8 @@ def index_from_sets(
         if promoter_pool is None
         else np.sort(np.asarray(promoter_pool, dtype=np.int32))
     )
-    for j in range(n_pieces):
-        assert len(rr_sets[j]) == theta, "all pieces must have θ RR sets"
+    if any(len(rr_sets[j]) != theta for j in range(n_pieces)):
+        raise ValueError("all pieces must have θ RR sets")
     rows = np.asarray(
         [(j, v, i) for j in range(n_pieces) for i, s in enumerate(rr_sets[j]) for v in s],
         dtype=np.int64,

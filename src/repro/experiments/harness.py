@@ -13,7 +13,7 @@ the same job as an extra (ℓ+1)-th "piece" whose topic vector is uniform.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from pyspark.sql import DataFrame, SparkSession
@@ -23,7 +23,6 @@ from repro.core.bab import branch_and_bound
 from repro.core.baselines import im_baseline, tim_baseline
 from repro.diffusion.mrr import MRRIndex, PieceCoverage, build_index
 from repro.diffusion.rr_sets import sample_mrr_sets, sample_roots
-from repro.graphs.datasets import DATASETS
 from repro.graphs.generator import GraphConfig, promoter_pool, social_graph
 from repro.graphs.topics import edges_by_piece, one_hot_pieces, uniform_piece
 
@@ -131,34 +130,8 @@ def run_methods(
     for method in methods:
         if method == "IM":
             r = im_baseline(prep.im_cov, index, model, k)
-            rows.append(
-                base
-                | dict(
-                    method="IM",
-                    utility=r.utility,
-                    seconds=r.seconds,
-                    assignments=plan_size(r.plan),
-                    gap=float("nan"),
-                    evals=0,
-                    pops=0,
-                    stop_reason="",
-                )
-            )
         elif method == "TIM":
             r = tim_baseline(index, model, k)
-            rows.append(
-                base
-                | dict(
-                    method="TIM",
-                    utility=r.utility,
-                    seconds=r.seconds,
-                    assignments=plan_size(r.plan),
-                    gap=float("nan"),
-                    evals=0,
-                    pops=0,
-                    stop_reason="",
-                )
-            )
         elif method in ("BAB", "BAB-P"):
             r = branch_and_bound(
                 index,
@@ -169,23 +142,20 @@ def run_methods(
                 gap_tol=gap_tol,
                 max_pops=max_pops,
             )
-            rows.append(
-                base
-                | dict(
-                    method=method,
-                    utility=r.utility,
-                    seconds=r.seconds,
-                    assignments=plan_size(r.plan),
-                    gap=r.gap,
-                    evals=r.evals,
-                    pops=r.pops,
-                    stop_reason=r.stop_reason,
-                )
-            )
         else:  # pragma: no cover - config error guard
             raise ValueError(f"unknown method {method!r}")
+        rows.append(
+            base
+            | dict(
+                method=method,
+                utility=r.utility,
+                seconds=r.seconds,
+                assignments=plan_size(r.plan),
+                # The baselines run no search: no gap, evaluations, pops or stop.
+                gap=getattr(r, "gap", float("nan")),
+                evals=getattr(r, "evals", 0),
+                pops=getattr(r, "pops", 0),
+                stop_reason=getattr(r, "stop_reason", ""),
+            )
+        )
     return rows
-
-
-def dataset_config(name: str) -> GraphConfig:
-    return DATASETS[name]

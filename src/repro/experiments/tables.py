@@ -1,10 +1,10 @@
 """Table generators — one per evaluation table (DESIGN.md §4).
 
 Each function returns a list of row dicts; `rows_to_markdown` renders them
-for EXPERIMENTS.md.  `Scale` bundles the sweep resolution so jobs (full
-scale) and pytest benchmarks (reduced scale) share code.  The paper's
-reference numbers (read off the text and figures) live in PAPER_REFERENCE
-and are echoed into EXPERIMENTS.md next to measured values.
+for EXPERIMENTS.md, and `jobs/run_tables.py` runs them.  `Scale` bundles the
+sweep resolution: FULL for EXPERIMENTS.md, BENCH for a reduced sweep.  The
+paper's reference numbers (read off the text and figures) live in
+PAPER_REFERENCE and are echoed into EXPERIMENTS.md next to measured values.
 """
 from __future__ import annotations
 
@@ -27,7 +27,7 @@ from .harness import (
 
 @dataclass(frozen=True)
 class Scale:
-    """Sweep resolution: jobs use FULL, pytest benchmarks use BENCH."""
+    """Sweep resolution (``jobs/run_tables.py --scale full|bench``)."""
 
     theta: int
     datasets: tuple[str, ...]

@@ -15,13 +15,12 @@ from pyspark.sql import functions as F
 def one_hot_pieces(n_topics: int, n_pieces: int, seed: int) -> np.ndarray:
     """ℓ one-hot piece vectors over |Z| topics, distinct topics, seeded.
 
-    Distinctness mirrors a real campaign (a piece per facet); with
-    n_pieces > n_topics this is impossible, so we fall back to sampling
-    with replacement.
+    Distinctness mirrors a real campaign (a piece per facet), so ℓ > |Z|
+    raises ``ValueError``.
     """
-    g = np.random.default_rng(seed)
-    replace = n_pieces > n_topics
-    zs = g.choice(n_topics, size=n_pieces, replace=replace)
+    if n_pieces > n_topics:
+        raise ValueError(f"{n_pieces} pieces need distinct topics, only {n_topics} exist")
+    zs = np.random.default_rng(seed).choice(n_topics, size=n_pieces, replace=False)
     vecs = np.zeros((n_pieces, n_topics), dtype=np.float64)
     vecs[np.arange(n_pieces), zs] = 1.0
     return vecs

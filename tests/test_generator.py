@@ -123,6 +123,20 @@ def test_degree_stats_oracle(spark):
     )
 
 
+def test_oracle_catches_wrong_result(spark):
+    """The oracle fails on an incorrect rewrite (an off-by-one degree filter)."""
+    pdf = social_graph_pandas(TEST_GRAPH).drop(columns="probs")
+    wrong = spark.createDataFrame(pdf).where(F.col("src") > 0).groupBy("src").agg(
+        F.count("*").alias("deg")
+    )
+    with pytest.raises(AssertionError):
+        assert_equivalent(
+            wrong,
+            "SELECT src, COUNT(*) AS deg FROM edges GROUP BY src",
+            edges=pdf,
+        )
+
+
 def test_indegree_scaling_keeps_probs_subcritical():
     """Weighted-cascade scaling: expected total incoming influence per vertex
     stays bounded, so spreads are small like the paper's (utility << n)."""

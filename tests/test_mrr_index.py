@@ -150,5 +150,5 @@ def test_build_index_coverage_counts_oracle(spark):
 
 
 def test_index_mismatched_theta_raises():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         index_from_sets({0: [{1}], 1: [{1}, {2}]}, n_vertices=3)

@@ -107,3 +107,32 @@ def test_rows_to_markdown():
     assert len(lines) == 4
     assert "0.1235" in md
     assert rows_to_markdown([]) == "(no rows)"
+
+
+def test_run_tables_entry_point(spark, tmp_path, monkeypatch, capsys):
+    """``jobs/run_tables.py`` writes one header and a markdown table per table,
+    and rejects an unknown table name with an argparse error."""
+    import importlib.util
+    import pathlib
+
+    import repro.experiments.tables as tables_mod
+
+    jobs = pathlib.Path(__file__).resolve().parent.parent / "jobs"
+    monkeypatch.syspath_prepend(str(jobs))
+    spec = importlib.util.spec_from_file_location("run_tables", jobs / "run_tables.py")
+    run_tables = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run_tables)
+    monkeypatch.setattr(tables_mod, "BENCH", MICRO)
+
+    run_tables.main(["table3", "--scale", "bench"], out_dir=tmp_path)
+    assert [p.name for p in tmp_path.iterdir()] == ["table3.md"]
+    lines = (tmp_path / "table3.md").read_text().splitlines()
+    assert lines[:2] == ["# table3 (bench scale)", ""]
+    assert lines[2].startswith("| dataset | vertices | edges |")
+    assert lines[3].startswith("|---|")
+    assert lines[4].startswith("| test_graph | 120 |")
+
+    with pytest.raises(SystemExit) as exc:
+        run_tables.main(["no_such_table"], out_dir=tmp_path)
+    assert exc.value.code == 2
+    assert "unknown table" in capsys.readouterr().err

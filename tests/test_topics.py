@@ -27,9 +27,9 @@ def test_one_hot_pieces_distinct_topics():
 
 
 def test_one_hot_pieces_replacement_fallback():
-    p = one_hot_pieces(2, 5, seed=0)  # more pieces than topics
-    assert p.shape == (5, 2)
-    assert np.all(p.sum(axis=1) == 1.0)
+    """No fallback to sampling topics with replacement: ℓ > |Z| raises."""
+    with pytest.raises(ValueError):
+        one_hot_pieces(2, 5, seed=0)  # more pieces than topics
 
 
 def test_one_hot_deterministic():
